@@ -1,6 +1,6 @@
 //! Adaptive message batching: many A-broadcasts, one wire message.
 //!
-//! Both algorithms pay per *message* on the network model (and on a
+//! Every algorithm pays per *message* on the network model (and on a
 //! real wire, per packet), so under heavy load the biggest throughput
 //! lever is aggregating pending A-broadcast payloads into one carrier
 //! broadcast — the Ring Paxos observation. This module implements
@@ -14,8 +14,9 @@
 //!   (flush when this many are buffered) and `max_delay` (flush a
 //!   non-empty buffer this long after its first payload arrived);
 //! * [`Batched`] wraps any atomic-broadcast [`Process`] whose command
-//!   type is a pack — [`FdNode<Pack<P>>`](crate::FdNode) or
-//!   [`GmNode<Pack<P>>`](crate::GmNode) — into a process whose
+//!   type is a pack — [`FdNode<Pack<P>>`](crate::FdNode),
+//!   [`GmNode<Pack<P>>`](crate::GmNode) or `ringpaxos`'s
+//!   `RingNode<Pack<P>>` — into a process whose
 //!   command type is the bare payload `P`: commands are buffered,
 //!   packs are flushed on size immediately or on a kernel timer
 //!   ([`neko::Ctx::set_timer`], so it works identically on the
@@ -50,7 +51,6 @@ pub type Pack<P> = Vec<(MsgId, P)>;
 /// assert_eq!(cfg.max_delay(), Dur::from_millis(2));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchConfig {
     max_batch: usize,
     max_delay: Dur,

@@ -1,13 +1,11 @@
 //! The **FD algorithm**: Chandra–Toueg uniform atomic broadcast,
 //! using unreliable failure detectors directly (paper Section 4.1).
 //!
-//! `A-broadcast(m)` reliable-broadcasts `m`; the delivery order is
-//! decided by a sequence of consensus instances `#1, #2, …`, each
-//! deciding a *batch* of message ids (with payloads, so a process can
-//! deliver a message it has not yet received directly). Batch `k` is
-//! A-delivered — in id order — before batch `k+1`. One consensus can
-//! decide many messages, which is the algorithm's natural aggregation
-//! under load.
+//! The algorithm is the [`Sequencer`] deciding [`Batch`]es: each
+//! consensus instance decides message ids *with* their payloads, so a
+//! process can deliver a message it has not yet received directly.
+//! One consensus can decide many messages, which is the algorithm's
+//! natural aggregation under load.
 //!
 //! The coordinator-renumbering optimisation of Section 7 is
 //! implemented (and toggleable, for the ablation study): proposals are
@@ -17,14 +15,12 @@
 //! round-1 coordinators and the crash-steady latency does not depend
 //! on *which* process crashed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use consensus::{Consensus, ConsensusAction, ConsensusConfig, ConsensusMsg};
-use fdet::SuspectSet;
 use neko::{FdEvent, Pid};
-use rbcast::{RbAction, RbMsg, ReliableBcast};
 
 use crate::common::{MsgId, Payload};
+use crate::seq::{Action, Actions, SeqMachine, SeqMsg, SeqValue, Sequencer};
 
 /// A consensus proposal/decision: a batch of messages, tagged with its
 /// proposer for the renumbering optimisation.
@@ -37,442 +33,81 @@ pub struct Batch<P> {
 }
 
 /// Wire messages of the FD algorithm.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FdCastMsg<P> {
-    /// Reliable broadcast of a payload.
-    Data(RbMsg<(MsgId, P)>),
-    /// Consensus traffic of instance `k`.
-    Cons {
-        /// The instance number.
-        k: u64,
-        /// The embedded consensus message.
-        inner: ConsensusMsg<Batch<P>>,
-    },
-    /// Channel repair: "my oldest undecided instance is `k` and it
-    /// has made no progress — resend what I may have lost". Sent by
-    /// the stall probe after a crash-recovery or healed partition
-    /// dropped in-flight messages; receivers answer with the
-    /// decisions the sender is missing, or re-emit their directed
-    /// state for the instance.
-    Nudge {
-        /// The sender's current instance.
-        k: u64,
-    },
-}
+pub type FdCastMsg<P> = SeqMsg<Batch<P>, P>;
 
 /// Outputs of the FD state machine, in execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FdCastAction<P> {
-    /// Send to one process.
-    Send(Pid, FdCastMsg<P>),
-    /// Send to all other processes.
-    Multicast(FdCastMsg<P>),
-    /// `A-deliver`.
-    Deliver {
-        /// The broadcast's identity.
-        id: MsgId,
-        /// Its payload.
-        payload: P,
-    },
-}
-
-/// Consensus messages buffered for an instance not yet started.
-type FutureMsgs<P> = Vec<(Pid, ConsensusMsg<Batch<P>>)>;
-
-/// Observable progress of the oldest undecided instance, compared
-/// across stall probes: `(instance, consensus diagnostic snapshot)`.
-type ProgressSig = (u64, Option<(u32, &'static str, usize, usize)>);
+pub type FdCastAction<P> = Action<FdCastMsg<P>, P>;
 
 /// Per-process endpoint of the FD atomic broadcast algorithm.
 ///
 /// Pure state machine; the [`crate::FdNode`] shell adapts it to
 /// [`neko::Process`].
-#[derive(Debug)]
-pub struct FdAbcast<P: Payload> {
-    me: Pid,
-    n: usize,
-    renumbering: bool,
-    rb: ReliableBcast<(MsgId, P)>,
-    pending: BTreeMap<MsgId, P>,
-    delivered: BTreeSet<MsgId>,
-    delivered_log: Vec<MsgId>,
-    /// Next instance to decide (all below are decided).
-    k: u64,
-    instances: BTreeMap<u64, Consensus<Batch<P>>>,
-    decisions_ahead: BTreeMap<u64, Batch<P>>,
-    future: BTreeMap<u64, FutureMsgs<P>>,
-    coord_first: Pid,
-    suspects: SuspectSet,
-    /// Progress signature at the last stall probe.
-    last_probe: Option<ProgressSig>,
-    /// Consecutive probes with a frozen signature.
-    stalled_probes: u32,
-    /// Reused action buffers for the inner rbcast/consensus machines.
-    /// Always empty between calls; kept only for their capacity (the
-    /// handlers otherwise allocate a fresh vector per wire message).
-    rb_scratch: Vec<RbAction<(MsgId, P)>>,
-    cons_scratch: Vec<ConsensusAction<Batch<P>>>,
-    /// Local arrival order of pending messages — only consulted by
-    /// the `mutation-skip-tiebreak` self-check build (see
-    /// [`Self::apply_ready_decisions`]).
-    #[cfg(feature = "mutation-skip-tiebreak")]
-    arrival: Vec<MsgId>,
-}
+pub type FdAbcast<P> = Sequencer<Batch<P>, P>;
 
-impl<P: Payload> FdAbcast<P> {
-    /// Creates the endpoint for `me` in a system of `n` processes.
-    /// `suspects` is the failure detector's current output.
-    pub fn new(me: Pid, n: usize, suspects: &SuspectSet) -> Self {
-        FdAbcast {
-            me,
-            n,
-            renumbering: true,
-            rb: ReliableBcast::new(me),
-            pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
-            delivered_log: Vec::new(),
-            k: 1,
-            instances: BTreeMap::new(),
-            decisions_ahead: BTreeMap::new(),
-            future: BTreeMap::new(),
-            coord_first: Pid::new(0),
-            suspects: suspects.clone(),
-            last_probe: None,
-            stalled_probes: 0,
-            rb_scratch: Vec::new(),
-            cons_scratch: Vec::new(),
-            #[cfg(feature = "mutation-skip-tiebreak")]
-            arrival: Vec::new(),
+impl<P: Payload> SeqValue<P> for Batch<P> {
+    fn propose(proposer: Pid, pending: &BTreeMap<MsgId, P>) -> Self {
+        Batch {
+            proposer,
+            msgs: pending.iter().map(|(id, p)| (*id, p.clone())).collect(),
         }
     }
 
-    /// Disables the coordinator-renumbering optimisation (ablation).
-    pub fn without_renumbering(mut self) -> Self {
-        self.renumbering = false;
+    fn proposer(&self) -> Pid {
+        self.proposer
+    }
+
+    fn into_msgs(self) -> impl Iterator<Item = (MsgId, Option<P>)> {
+        self.msgs.into_iter().map(|(id, p)| (id, Some(p)))
+    }
+
+    /// SELF-CHECK MUTATION ("the oracle has teeth"): with the
+    /// `mutation-skip-tiebreak` feature the paper's tie-break —
+    /// deliver a decided batch "according to the order of their IDs"
+    /// (Section 4.1) — is deliberately skipped in favour of *local
+    /// arrival order*, which differs between processes whenever
+    /// broadcasts race. The decided value is still agreed; only the
+    /// delivery order inside the batch diverges, exactly the class of
+    /// bug the schedule explorer must catch and shrink
+    /// (tests/explore.rs pins that it does). Never enable this feature
+    /// outside that self-check.
+    #[cfg(feature = "mutation-skip-tiebreak")]
+    fn skip_tiebreak(mut self, arrival: &[MsgId]) -> Self {
+        let pos = |id: &MsgId| arrival.iter().position(|a| a == id).unwrap_or(usize::MAX);
+        self.msgs.sort_by_key(|(id, _)| (pos(id), *id));
         self
     }
+}
 
-    /// The A-delivery order so far (ids).
-    pub fn delivered_log(&self) -> &[MsgId] {
-        &self.delivered_log
+impl<P: Payload> SeqMachine for FdAbcast<P> {
+    type Payload = P;
+    type Msg = FdCastMsg<P>;
+
+    fn new(me: Pid, n: usize, suspects: &fdet::SuspectSet) -> Self {
+        Sequencer::new(me, n, suspects)
     }
 
-    /// Number of messages received but not yet ordered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
+    fn broadcast(&mut self, payload: P, out: &mut Actions<Self>) -> MsgId {
+        Sequencer::broadcast(self, payload, out)
     }
 
-    /// Current consensus instance number.
-    pub fn instance(&self) -> u64 {
-        self.k
+    fn on_message(&mut self, from: Pid, msg: FdCastMsg<P>, out: &mut Actions<Self>) {
+        Sequencer::on_message(self, from, msg, out);
     }
 
-    /// Round and decision state of a consensus instance, if it exists
-    /// locally (diagnostics).
-    pub fn instance_state(&self, k: u64) -> Option<(u32, bool)> {
-        self.instances.get(&k).map(|c| (c.round(), c.has_decided()))
+    fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<Self>) {
+        Sequencer::on_fd(self, ev, out);
     }
 
-    /// Full diagnostic snapshot of a consensus instance.
-    #[doc(hidden)]
-    pub fn instance_debug(&self, k: u64) -> Option<(u32, &'static str, usize, usize)> {
-        self.instances.get(&k).map(|c| c.debug_state())
-    }
-
-    /// `A-broadcast(payload)`; returns the new message's id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Vec<FdCastAction<P>>) -> MsgId {
-        // One reliable broadcast per A-broadcast; the rb id doubles as
-        // the message id, and is embedded in the payload so receivers
-        // (and consensus batches) carry it around.
-        let bid = self.rb.next_id();
-        let id = MsgId {
-            origin: bid.origin,
-            seq: bid.seq,
-        };
-        let mut rb_out = std::mem::take(&mut self.rb_scratch);
-        let assigned = self.rb.broadcast((id, payload), &mut rb_out);
-        debug_assert_eq!(assigned, bid);
-        self.map_rb(&mut rb_out, out);
-        self.rb_scratch = rb_out;
-        id
-    }
-
-    /// Handles a wire message.
-    pub fn on_message(&mut self, from: Pid, msg: FdCastMsg<P>, out: &mut Vec<FdCastAction<P>>) {
-        match msg {
-            FdCastMsg::Data(rbmsg) => {
-                let mut rb_out = std::mem::take(&mut self.rb_scratch);
-                self.rb.on_message(from, rbmsg, &self.suspects, &mut rb_out);
-                self.map_rb(&mut rb_out, out);
-                self.rb_scratch = rb_out;
-            }
-            FdCastMsg::Cons { k, inner } => {
-                if k > self.k {
-                    // Instances run strictly in order locally; keep
-                    // early traffic for later.
-                    self.future.entry(k).or_default().push((from, inner));
-                    return;
-                }
-                if k == self.k {
-                    self.ensure_instance(out);
-                }
-                let Some(inst) = self.instances.get_mut(&k) else {
-                    return;
-                };
-                let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                inst.on_message(from, inner, &mut cons_out);
-                self.pump_cons(k, &mut cons_out, out);
-                self.cons_scratch = cons_out;
-            }
-            FdCastMsg::Nudge { k } => {
-                if k < self.k {
-                    // The sender is behind: serve it every decision it
-                    // is missing (it applies them in order and catches
-                    // up in one hop).
-                    for kk in k..self.k {
-                        if let Some(reply) =
-                            self.instances.get(&kk).and_then(Consensus::decision_reply)
-                        {
-                            out.push(FdCastAction::Send(
-                                from,
-                                FdCastMsg::Cons {
-                                    k: kk,
-                                    inner: reply,
-                                },
-                            ));
-                        }
-                    }
-                } else if k == self.k {
-                    // Same instance: re-emit our directed state — the
-                    // proposal (coordinator) or estimate/ack
-                    // (participant) the sender may have lost.
-                    if let Some(inst) = self.instances.get(&k) {
-                        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                        inst.resend_to(from, &mut cons_out);
-                        self.pump_cons(k, &mut cons_out, out);
-                        self.cons_scratch = cons_out;
-                    }
-                }
-                // k > self.k: the nudger is ahead; our own stall probe
-                // covers our side.
-            }
-        }
-    }
-
-    /// Periodic channel-repair probe. Call at a coarse interval (the
-    /// [`crate::FdNode`] shell uses a timer): when the oldest
-    /// undecided instance has made *no* observable progress since the
-    /// last probe, ask the group to resend what was lost. Quiet in
-    /// loss-free runs — consensus always progresses between probes —
-    /// so steady-state behaviour is untouched.
-    pub fn stall_probe(&mut self, out: &mut Vec<FdCastAction<P>>) {
-        let sig = (
-            self.k,
-            self.instances.get(&self.k).map(Consensus::debug_state),
-        );
-        if self.last_probe.as_ref() == Some(&sig) {
-            self.stalled_probes += 1;
-        } else {
-            self.stalled_probes = 0;
-        }
-        self.last_probe = Some(sig);
-        // Two consecutive frozen probes (≥ 2 intervals of zero
-        // progress) separate real message loss from an instance
-        // merely queued behind a deep backlog near saturation, where
-        // nudging would add load (and perturb the FD ≡ GM message
-        // pattern) for nothing.
-        if self.stalled_probes < 2 {
-            return;
-        }
-        let undecided = self
-            .instances
-            .get(&self.k)
-            .is_some_and(|c| !c.has_decided());
-        if undecided {
-            out.push(FdCastAction::Multicast(FdCastMsg::Nudge { k: self.k }));
-        }
-    }
-
-    /// Handles a failure-detector edge.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Vec<FdCastAction<P>>) {
-        self.suspects.apply(ev);
-        if let FdEvent::Suspect(p) = ev {
-            // Lazy relay of undecided payloads from the suspect.
-            let mut rb_out = std::mem::take(&mut self.rb_scratch);
-            self.rb.on_suspect(p, &mut rb_out);
-            self.map_rb(&mut rb_out, out);
-            self.rb_scratch = rb_out;
-        }
-        // Only the in-flight instance reacts to suspicions (the paper's
-        // "the FD algorithm reacts only to the crash of the [current]
-        // coordinator"). Decided instances serve laggards by replying
-        // to their messages with the decision instead.
-        let k = self.k;
-        if let Some(inst) = self.instances.get_mut(&k) {
-            let mut cons_out = std::mem::take(&mut self.cons_scratch);
-            inst.on_fd(ev, &mut cons_out);
-            self.pump_cons(k, &mut cons_out, out);
-            self.cons_scratch = cons_out;
-        }
-    }
-
-    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<(MsgId, P)>>, out: &mut Vec<FdCastAction<P>>) {
-        for a in rb_out.drain(..) {
-            match a {
-                RbAction::Deliver {
-                    payload: (id, p), ..
-                } => {
-                    if !self.delivered.contains(&id) {
-                        #[cfg(feature = "mutation-skip-tiebreak")]
-                        if !self.pending.contains_key(&id) {
-                            self.arrival.push(id);
-                        }
-                        self.pending.insert(id, p);
-                        self.ensure_instance(out);
-                    }
-                }
-                RbAction::Multicast(m) => out.push(FdCastAction::Multicast(FdCastMsg::Data(m))),
-                RbAction::Send(to, m) => out.push(FdCastAction::Send(to, FdCastMsg::Data(m))),
-            }
-        }
-    }
-
-    /// Creates (and proposes in) the current instance if there is a
-    /// reason to: pending messages, or incoming traffic for it.
-    fn ensure_instance(&mut self, out: &mut Vec<FdCastAction<P>>) {
-        if self.pending.is_empty() && !self.instances.contains_key(&self.k) {
-            return;
-        }
-        let k = self.k;
-        if !self.instances.contains_key(&k) {
-            let cfg = if self.renumbering {
-                ConsensusConfig::ring_from(self.me, self.n, self.coord_first)
-            } else {
-                ConsensusConfig::ring(self.me, self.n)
-            };
-            self.instances
-                .insert(k, Consensus::new(cfg, &self.suspects));
-        }
-        // Propose our current pending batch (empty batches are valid
-        // when we were dragged in). An instance proposes once, so skip
-        // cloning the pending set when the proposal would be a no-op.
-        let inst = &self.instances[&k];
-        if inst.has_proposed() || inst.has_decided() {
-            return;
-        }
-        let batch = Batch {
-            proposer: self.me,
-            msgs: self
-                .pending
-                .iter()
-                .map(|(id, p)| (*id, p.clone()))
-                .collect(),
-        };
-        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-        self.instances
-            .get_mut(&k)
-            .expect("inserted above")
-            .propose(batch, &mut cons_out);
-        self.pump_cons(k, &mut cons_out, out);
-        self.cons_scratch = cons_out;
-    }
-
-    fn pump_cons(
-        &mut self,
-        k: u64,
-        cons_out: &mut Vec<ConsensusAction<Batch<P>>>,
-        out: &mut Vec<FdCastAction<P>>,
-    ) {
-        let mut decided = None;
-        for a in cons_out.drain(..) {
-            match a {
-                ConsensusAction::Send(p, m) => {
-                    out.push(FdCastAction::Send(p, FdCastMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Multicast(m) => {
-                    out.push(FdCastAction::Multicast(FdCastMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Decided(b) => decided = Some(b),
-            }
-        }
-        if let Some(batch) = decided {
-            self.decisions_ahead.insert(k, batch);
-            self.apply_ready_decisions(out);
-        }
-    }
-
-    fn apply_ready_decisions(&mut self, out: &mut Vec<FdCastAction<P>>) {
-        while let Some(batch) = self.decisions_ahead.remove(&self.k) {
-            // SELF-CHECK MUTATION ("the oracle has teeth"): with the
-            // `mutation-skip-tiebreak` feature the paper's tie-break
-            // — deliver a decided batch "according to the order of
-            // their IDs" (Section 4.1) — is deliberately skipped in
-            // favour of *local arrival order*, which differs between
-            // processes whenever broadcasts race. The decided value
-            // is still agreed; only the delivery order inside the
-            // batch diverges, exactly the class of bug the schedule
-            // explorer must catch and shrink (tests/explore.rs pins
-            // that it does). Never enable this feature outside that
-            // self-check.
-            #[cfg(feature = "mutation-skip-tiebreak")]
-            let batch = {
-                let mut batch = batch;
-                let pos = |id: &MsgId| {
-                    self.arrival
-                        .iter()
-                        .position(|a| a == id)
-                        .unwrap_or(usize::MAX)
-                };
-                batch.msgs.sort_by_key(|(id, _)| (pos(id), *id));
-                batch
-            };
-            for (id, p) in batch.msgs {
-                if self.delivered.insert(id) {
-                    self.pending.remove(&id);
-                    self.delivered_log.push(id);
-                    self.rb.forget(rbcast::BcastId {
-                        origin: id.origin,
-                        seq: id.seq,
-                    });
-                    out.push(FdCastAction::Deliver { id, payload: p });
-                }
-            }
-            if self.renumbering {
-                self.coord_first = batch.proposer;
-            }
-            self.k += 1;
-            // Drain consensus traffic that arrived early for the new
-            // instance. The instance number is pinned *outside* the
-            // loop: processing one buffered message can decide this
-            // instance and advance `self.k` (decisions already queued
-            // in `decisions_ahead` chain-apply), and feeding the
-            // remaining buffered messages — e.g. a second copy of the
-            // decision, from the relay — into the *new* current
-            // instance would decide it with the old instance's value
-            // and silently diverge from the group. (Found by the
-            // schedule explorer; pinned by
-            // `buffered_duplicate_decision_stays_in_its_instance`.)
-            let drained_k = self.k;
-            if let Some(msgs) = self.future.remove(&drained_k) {
-                self.ensure_instance(out);
-                for (from, inner) in msgs {
-                    let Some(inst) = self.instances.get_mut(&drained_k) else {
-                        continue;
-                    };
-                    let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                    inst.on_message(from, inner, &mut cons_out);
-                    self.pump_cons(drained_k, &mut cons_out, out);
-                    self.cons_scratch = cons_out;
-                }
-            }
-            self.ensure_instance(out);
-        }
+    fn stall_probe(&mut self, out: &mut Actions<Self>) {
+        Sequencer::stall_probe(self, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus::ConsensusMsg;
+    use fdet::SuspectSet;
 
     type A = FdCastAction<u32>;
 
@@ -604,13 +239,6 @@ mod tests {
         for n in &ns {
             assert_eq!(n.instance(), 2, "all advanced");
         }
-    }
-
-    #[test]
-    fn without_renumbering_keeps_ring_order() {
-        let s = SuspectSet::new();
-        let a = FdAbcast::<u32>::new(Pid::new(0), 3, &s).without_renumbering();
-        assert!(!a.renumbering);
     }
 
     /// Routes among p1 ↔ p2 only; traffic addressed to p3 is captured

@@ -5,7 +5,10 @@
 //!
 //! * [`FdAbcast`] / [`FdNode`] — the **FD algorithm**: Chandra–Toueg
 //!   atomic broadcast by reduction to a sequence of ♦S consensus
-//!   instances; unreliable failure detectors are used directly.
+//!   instances; unreliable failure detectors are used directly. The
+//!   reduction itself is the [`Sequencer`], generic over the decided
+//!   value, and [`SeqNode`] is its process shell; the `ringpaxos`
+//!   contender runs on both with its own value and [`Hooks`].
 //! * [`GmAbcast`] / [`GmNode`] — the **GM algorithm**: fixed-sequencer
 //!   total order; a group-membership service (view synchrony) handles
 //!   crashes and suspicions. The non-uniform variant of the paper's
@@ -37,9 +40,11 @@ mod common;
 mod fd;
 mod gm;
 mod node;
+mod seq;
 
 pub use batch::{BatchConfig, Batched, Batcher, Pack};
 pub use common::{AbcastEvent, MsgId, Payload};
 pub use fd::{Batch, FdAbcast, FdCastAction, FdCastMsg};
 pub use gm::{Bundle, GmAbcast, GmCastAction, GmCastMsg, Uniformity, NONUNIFORM_ACK_EVERY};
-pub use node::{DeliveredEvent, FdNode, GmNode, RETRY_INTERVAL, STALL_PROBE_INTERVAL};
+pub use node::{FdNode, GmNode, SeqNode, RETRY_INTERVAL, STALL_PROBE_INTERVAL};
+pub use seq::{Action, Actions, Hooks, SeqMachine, SeqMsg, SeqValue, Sequencer};

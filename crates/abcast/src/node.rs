@@ -1,4 +1,4 @@
-//! [`neko::Process`] shells for the two algorithms, so the same state
+//! [`neko::Process`] shells for the algorithms, so the same state
 //! machines run on the simulator and on the real-time runtime
 //! ([`neko::RealRuntime`], where `on_fd` edges come from a live
 //! heartbeat detector and timers ride the OS clock — see the
@@ -6,9 +6,10 @@
 
 use neko::{Ctx, Dur, FdEvent, Message, Pid, Process, TimerId};
 
-use crate::common::{AbcastEvent, MsgId, Payload};
-use crate::fd::{FdAbcast, FdCastAction, FdCastMsg};
+use crate::common::{AbcastEvent, Payload};
+use crate::fd::FdAbcast;
 use crate::gm::{GmAbcast, GmCastAction, GmCastMsg, Uniformity};
+use crate::seq::{Action, Actions, SeqMachine};
 
 /// How often an excluded process re-sends its join request, and a
 /// catching-up process its state request. Ten network time units —
@@ -21,7 +22,7 @@ const TAG_CATCHUP_RETRY: u64 = 2;
 const TAG_STALL_PROBE: u64 = 3;
 const TAG_VC_PROBE: u64 = 4;
 
-/// How often an [`FdNode`] checks its oldest undecided consensus
+/// How often a [`SeqNode`] checks its oldest undecided consensus
 /// instance for a stall (lost messages after a crash-recovery or a
 /// healed partition). Coarse on purpose: in loss-free runs an
 /// instance always progresses between probes, so the probe stays
@@ -45,11 +46,6 @@ fn probe_interval(n: usize) -> Dur {
     } else {
         Dur::from_millis(2 * n as u64)
     }
-}
-
-impl<P: Payload> Message for FdCastMsg<P> {
-    // Consensus aggregates whole batches per instance; no wire-level
-    // coalescing is needed (or used by the paper) for the FD side.
 }
 
 impl<P: Payload> Message for GmCastMsg<P> {
@@ -97,12 +93,11 @@ impl<P: Payload> Message for GmCastMsg<P> {
     }
 }
 
-/// A process running the **FD algorithm** (Chandra–Toueg atomic
-/// broadcast). Commands are payloads to A-broadcast; outputs are
-/// A-deliveries.
+/// The [`neko::Process`] shell of a [`SeqMachine`]. Commands are
+/// payloads to A-broadcast; outputs are A-deliveries.
 #[derive(Debug)]
-pub struct FdNode<P: Payload> {
-    inner: FdAbcast<P>,
+pub struct SeqNode<M: SeqMachine> {
+    inner: M,
     probe_timer: Option<TimerId>,
     /// Stall-probe period, scaled to the group size (see
     /// [`probe_interval`]).
@@ -111,15 +106,19 @@ pub struct FdNode<P: Payload> {
     /// computed once instead of per handler call.
     others: Vec<Pid>,
     /// Reused action buffer (cleared between handler calls).
-    actions: Vec<FdCastAction<P>>,
+    actions: Actions<M>,
 }
 
-impl<P: Payload> FdNode<P> {
+/// A process running the **FD algorithm** (Chandra–Toueg atomic
+/// broadcast).
+pub type FdNode<P> = SeqNode<FdAbcast<P>>;
+
+impl<M: SeqMachine> SeqNode<M> {
     /// Creates the node; `suspects_at_start` seeds the failure
     /// detector output for crash-steady scenarios.
     pub fn new(me: Pid, n: usize, suspects_at_start: &fdet::SuspectSet) -> Self {
-        FdNode {
-            inner: FdAbcast::new(me, n, suspects_at_start),
+        SeqNode {
+            inner: M::new(me, n, suspects_at_start),
             probe_timer: None,
             probe_after: probe_interval(n),
             others: Pid::all(n).filter(|&p| p != me).collect(),
@@ -127,36 +126,24 @@ impl<P: Payload> FdNode<P> {
         }
     }
 
-    fn arm_probe(&mut self, ctx: &mut dyn Ctx<FdCastMsg<P>, AbcastEvent<P>>) {
+    /// The wrapped state machine (inspection in tests/examples).
+    pub fn algorithm(&self) -> &M {
+        &self.inner
+    }
+
+    fn arm_probe(&mut self, ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>) {
         if let Some(id) = self.probe_timer.take() {
             ctx.cancel_timer(id);
         }
         self.probe_timer = Some(ctx.set_timer(self.probe_after, TAG_STALL_PROBE));
     }
 
-    /// Disables the coordinator-renumbering optimisation (ablation).
-    pub fn without_renumbering(mut self) -> Self {
-        self.inner = self.inner.without_renumbering();
-        self
-    }
-
-    /// The wrapped state machine (inspection in tests/examples).
-    pub fn algorithm(&self) -> &FdAbcast<P> {
-        &self.inner
-    }
-
-    fn run(
-        &mut self,
-        mut actions: Vec<FdCastAction<P>>,
-        ctx: &mut dyn Ctx<FdCastMsg<P>, AbcastEvent<P>>,
-    ) {
+    fn run(&mut self, mut actions: Actions<M>, ctx: &mut dyn Ctx<M::Msg, AbcastEvent<M::Payload>>) {
         for a in actions.drain(..) {
             match a {
-                FdCastAction::Send(to, m) => ctx.send(to, m),
-                FdCastAction::Multicast(m) => ctx.multicast(&self.others, m),
-                FdCastAction::Deliver { id, payload } => {
-                    ctx.emit(AbcastEvent::Delivered { id, payload })
-                }
+                Action::Send(to, m) => ctx.send(to, m),
+                Action::Multicast(m) => ctx.multicast(&self.others, m),
+                Action::Deliver { id, payload } => ctx.emit(AbcastEvent::Delivered { id, payload }),
             }
         }
         // Park the (now empty) buffer for the next handler call.
@@ -164,10 +151,18 @@ impl<P: Payload> FdNode<P> {
     }
 }
 
-impl<P: Payload> Process for FdNode<P> {
-    type Msg = FdCastMsg<P>;
-    type Cmd = P;
-    type Out = AbcastEvent<P>;
+impl<P: Payload> FdNode<P> {
+    /// Disables the coordinator-renumbering optimisation (ablation).
+    pub fn without_renumbering(mut self) -> Self {
+        self.inner = self.inner.without_renumbering();
+        self
+    }
+}
+
+impl<M: SeqMachine> Process for SeqNode<M> {
+    type Msg = M::Msg;
+    type Cmd = M::Payload;
+    type Out = AbcastEvent<M::Payload>;
 
     fn on_start(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>) {
         self.arm_probe(ctx);
@@ -188,7 +183,7 @@ impl<P: Payload> Process for FdNode<P> {
         }
     }
 
-    fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: P) {
+    fn on_command(&mut self, ctx: &mut dyn Ctx<Self::Msg, Self::Out>, cmd: M::Payload) {
         let mut out = std::mem::take(&mut self.actions);
         self.inner.broadcast(cmd, &mut out);
         self.run(out, ctx);
@@ -350,14 +345,11 @@ impl<P: Payload> Process for GmNode<P> {
     }
 }
 
-/// A latency-comparison note: [`MsgId`] is shared by both nodes, so the
-/// experiment harness can track any broadcast through either algorithm
-/// with the same key.
-pub type DeliveredEvent<P> = (MsgId, P);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::MsgId;
+    use crate::fd::FdCastMsg;
 
     #[test]
     fn gm_messages_merge_per_kind_and_view() {
@@ -457,5 +449,12 @@ mod tests {
         };
         let mut a = mk();
         assert!(!Message::try_merge(&mut a, &mk()));
+    }
+
+    #[test]
+    fn probe_interval_scales_past_the_historical_range() {
+        assert_eq!(probe_interval(3), STALL_PROBE_INTERVAL);
+        assert_eq!(probe_interval(64), STALL_PROBE_INTERVAL);
+        assert_eq!(probe_interval(128), Dur::from_millis(256));
     }
 }

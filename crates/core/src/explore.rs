@@ -604,37 +604,22 @@ pub fn run_tuple(t: &Tuple) -> Verdict {
             a.in_view_change() && live < a.view().majority()
         })
     };
+    macro_rules! run {
+        ($wedged:expr, $node:expr) => {
+            drive(t, &compiled, &arrivals, end, $wedged, $node)
+        };
+    }
     let (logs, collapsed) = match t.alg {
-        Algorithm::Fd => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| FdNode::<u64>::new(p, n, &initial),
-        ),
-        Algorithm::FdNoRenumber => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| FdNode::<u64>::new(p, n, &initial).without_renumbering(),
-        ),
-        Algorithm::Gm => drive(t, &compiled, &arrivals, end, gm_quorum_collapsed, |p| {
-            GmNode::<u64>::new(p, n, &initial)
+        Algorithm::Fd => run!(|_| false, |p| FdNode::new(p, n, &initial)),
+        Algorithm::FdNoRenumber => {
+            run!(|_| false, |p| FdNode::new(p, n, &initial)
+                .without_renumbering())
+        }
+        Algorithm::Gm => run!(gm_quorum_collapsed, |p| GmNode::new(p, n, &initial)),
+        Algorithm::GmNonUniform => run!(gm_quorum_collapsed, |p| {
+            GmNode::with_uniformity(p, n, &initial, Uniformity::NonUniform)
         }),
-        Algorithm::GmNonUniform => drive(t, &compiled, &arrivals, end, gm_quorum_collapsed, |p| {
-            GmNode::<u64>::with_uniformity(p, n, &initial, Uniformity::NonUniform)
-        }),
-        Algorithm::Ring => drive(
-            t,
-            &compiled,
-            &arrivals,
-            end,
-            |_| false,
-            |p| RingNode::<u64>::new(p, n, &initial),
-        ),
+        Algorithm::Ring => run!(|_| false, |p| RingNode::new(p, n, &initial)),
     };
     let mut exp = expectations(t, &compiled, &arrivals);
     if collapsed {

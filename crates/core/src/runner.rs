@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Pack, Uniformity};
+use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Uniformity};
 use neko::{
     derive_seed, Dur, Injection, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig,
     RealRuntime, Runtime, Schedule, Sim, SimBuilder, Time,
@@ -34,7 +34,6 @@ use crate::workload::poisson_arrivals;
 
 /// Which algorithm (and variant) to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Algorithm {
     /// Chandra–Toueg atomic broadcast (failure detectors used
     /// directly).
@@ -64,7 +63,6 @@ impl Algorithm {
 
 /// Which [`neko::Runtime`] backend executes a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backend {
     /// The deterministic discrete-event simulator — instantaneous,
     /// bit-reproducible, contention-modelled. The default.
@@ -505,90 +503,28 @@ pub fn run_once(alg: Algorithm, script: &FaultScript, params: &RunParams, seed: 
     // With batching on, each node is wrapped in the [`Batched`] shell
     // and the algorithm itself runs over whole packs; with batching
     // off the pre-batching factories run unchanged (bit-identically —
-    // the golden tests pin this).
-    match (alg, params.batching) {
-        (Algorithm::Fd, None) => run_impl(
-            |p| FdNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Fd, Some(cfg)) => run_impl(
-            |p| Batched::new(p, FdNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::FdNoRenumber, None) => run_impl(
-            |p| FdNode::<u64>::new(p, n, &initial).without_renumbering(),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::FdNoRenumber, Some(cfg)) => run_impl(
-            |p| {
-                Batched::new(
-                    p,
-                    FdNode::<Pack<u64>>::new(p, n, &initial).without_renumbering(),
-                    cfg,
-                )
-            },
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Gm, None) => run_impl(
-            |p| GmNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Gm, Some(cfg)) => run_impl(
-            |p| Batched::new(p, GmNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::GmNonUniform, None) => run_impl(
-            |p| GmNode::<u64>::with_uniformity(p, n, &initial, Uniformity::NonUniform),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::GmNonUniform, Some(cfg)) => run_impl(
-            |p| {
-                Batched::new(
-                    p,
-                    GmNode::<Pack<u64>>::with_uniformity(p, n, &initial, Uniformity::NonUniform),
-                    cfg,
-                )
-            },
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Ring, None) => run_impl(
-            |p| RingNode::<u64>::new(p, n, &initial),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
-        (Algorithm::Ring, Some(cfg)) => run_impl(
-            |p| Batched::new(p, RingNode::<Pack<u64>>::new(p, n, &initial), cfg),
-            &compiled,
-            params,
-            seed,
-            end,
-        ),
+    // the golden tests pin this). The macro pastes each constructor
+    // into both stacks, so it is type-inferred once per payload type.
+    macro_rules! stack {
+        ($node:expr) => {
+            match params.batching {
+                None => run_impl($node, &compiled, params, seed, end),
+                Some(cfg) => {
+                    let node = $node;
+                    let batched = move |p| Batched::new(p, node(p), cfg);
+                    run_impl(batched, &compiled, params, seed, end)
+                }
+            }
+        };
+    }
+    match alg {
+        Algorithm::Fd => stack!(|p| FdNode::new(p, n, &initial)),
+        Algorithm::FdNoRenumber => stack!(|p| FdNode::new(p, n, &initial).without_renumbering()),
+        Algorithm::Gm => stack!(|p| GmNode::new(p, n, &initial)),
+        Algorithm::GmNonUniform => {
+            stack!(|p| GmNode::with_uniformity(p, n, &initial, Uniformity::NonUniform))
+        }
+        Algorithm::Ring => stack!(|p| RingNode::new(p, n, &initial)),
     }
 }
 

@@ -35,7 +35,6 @@ fn t95(df: usize) -> f64 {
 /// assert_eq!(s.p50(), Some(11.0));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     mean: f64,
     var: f64,

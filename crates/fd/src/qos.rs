@@ -43,7 +43,6 @@ pub type PlanEntry = (Time, Injection);
 /// assert_eq!(q.detection(), Dur::from_millis(10));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosParams {
     detection: Dur,
     mistake_recurrence: Dur,

@@ -53,7 +53,6 @@ use crate::time::{Dur, Time};
 /// assert_eq!(fast_hosts.cpu_delay(), Dur::from_micros(100));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetParams {
     net_delay: Dur,
     lambda: f64,
@@ -158,7 +157,6 @@ impl Default for NetParams {
 /// assert_ne!(wan, NetworkModel::Switched);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum NetworkModel {
     /// The paper's model: one shared Ethernet-style medium. Each
@@ -187,7 +185,6 @@ pub enum NetworkModel {
 /// assert!(w.min_latency() <= w.max_latency());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WanParams {
     min: Dur,
     max: Dur,
@@ -674,7 +671,6 @@ impl<M: Message> Topology<M> for Wan<M> {
 /// [`crate::Process::on_message`] (a multicast to `k` live remote
 /// destinations counts `k` times) under every model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct NetStats {
     /// Application-level `send`/`multicast`/`broadcast` calls.

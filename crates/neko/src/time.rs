@@ -19,7 +19,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(t - Time::ZERO, Dur::from_millis(3));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 /// A span of simulated time.
@@ -31,7 +30,6 @@ pub struct Time(u64);
 /// assert_eq!(Dur::from_millis(3).as_millis_f64(), 3.0);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dur(u64);
 
 impl Time {

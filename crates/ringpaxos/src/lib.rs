@@ -9,20 +9,27 @@
 //! (crash, partition, or a lagging process catching up from a
 //! decision served by the stall probe).
 //!
-//! * Dissemination and ordering reuse the proven machinery of the
-//!   paper's FD algorithm verbatim: `rbcast` data dissemination and a
-//!   sequence of Chandra–Toueg ♦S [`consensus`] instances with the
-//!   coordinator-renumbering optimisation. In suspicion-free runs the
-//!   message *pattern* is therefore identical to the FD algorithm —
-//!   the simulator's cost model charges per message, not per byte, so
-//!   the compact ids change what crosses the wire, not when.
-//! * The ring is the repair path: [`ring_members`] picks the f+1
-//!   acceptors from the failure detector's current output (rotated by
-//!   the same `coord_first` the renumbering maintains, so coordinator
-//!   and acceptor suspicion both reconfigure it), and a
-//!   [`RingMsg::Fetch`] hops unicast from acceptor to acceptor — the
-//!   `DestSet::as_single` fast path — until a holder answers the
-//!   requester directly with a [`RingMsg::Fwd`].
+//! * **Shared with the FD algorithm** (crate `abcast`): the consensus
+//!   sequencer, [`abcast::Sequencer`] — `rbcast` dissemination, the
+//!   sequence of Chandra–Toueg ♦S [`consensus`] instances with their
+//!   buffering, coordinator renumbering and stall-probe nudge — and
+//!   the [`abcast::SeqNode`] process shell with its probe period.
+//!   [`RingAbcast`] is that sequencer over [`IdBatch`]es. In
+//!   suspicion-free runs the message *pattern* is therefore identical
+//!   to the FD algorithm — the simulator's cost model charges per
+//!   message, not per byte, so the compact ids change what crosses
+//!   the wire, not when.
+//! * **Owned here**: the id-only proposal and the payload repair. The
+//!   repair holds a decision back until every body is local (through
+//!   the sequencer's [`abcast::Hooks`]), archives delivered bodies to
+//!   serve laggards, and tracks fetches in flight. [`ring_members`]
+//!   picks the f+1 acceptors from the failure detector's current
+//!   output (rotated by the same `coord_first` the renumbering
+//!   maintains, so coordinator and acceptor suspicion both
+//!   reconfigure it), and a [`RingMsg::Fetch`] hops unicast from
+//!   acceptor to acceptor — the `DestSet::as_single` fast path —
+//!   until a holder answers the requester directly with a
+//!   [`RingMsg::Fwd`].
 //!
 //! ```
 //! use abcast::AbcastEvent;
@@ -43,9 +50,12 @@
 #![forbid(unsafe_code)]
 
 mod machine;
-mod node;
 mod ring;
 
 pub use machine::{IdBatch, RingAbcast, RingAction, RingMsg};
-pub use node::RingNode;
 pub use ring::{ring_members, ring_size, ring_successor};
+
+/// A process running the **ring algorithm**: the FD algorithm's
+/// [`abcast::SeqNode`] shell around a [`RingAbcast`]. Commands are
+/// payloads to A-broadcast; outputs are A-deliveries.
+pub type RingNode<P> = abcast::SeqNode<RingAbcast<P>>;

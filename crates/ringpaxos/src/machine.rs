@@ -1,25 +1,25 @@
 //! The Ring Paxos-style atomic broadcast state machine.
 //!
-//! Ordering is the FD algorithm's reduction — reliable broadcast of
-//! `(id, payload)` plus a sequence of consensus instances — with one
-//! structural change: consensus values are [`IdBatch`]es of **ids
-//! only**. A decision can therefore outrun its payloads (the FD
-//! algorithm's batches carry the bodies, so it never can), and the
-//! delivery loop blocks at the first decided id whose payload is
-//! locally missing. The repair is the ring: a [`RingMsg::Fetch`] is
-//! sent unicast to the most likely holder (the id's origin, then the
-//! requester's ring successor) and hops acceptor to acceptor around
-//! the f+1-member ring until some holder answers the requester
-//! directly with a [`RingMsg::Fwd`]. Delivered bodies are archived so
-//! any process that has delivered can serve a laggard's fetch.
+//! Ordering is the FD algorithm's [`Sequencer`] with one structural
+//! change: consensus values are [`IdBatch`]es of **ids only**. A
+//! decision can therefore outrun its payloads (the FD algorithm's
+//! batches carry the bodies, so it never can), and the sequencer's
+//! [`Hooks::ready`] check blocks delivery at the first decided id
+//! whose payload is locally missing. The repair is the ring: a
+//! [`RingMsg::Fetch`] is sent unicast to the most likely holder (the
+//! id's origin, then the requester's ring successor) and hops acceptor
+//! to acceptor around the f+1-member ring until some holder answers
+//! the requester directly with a [`RingMsg::Fwd`]. Delivered bodies
+//! are archived so any process that has delivered can serve a
+//! laggard's fetch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use abcast::{MsgId, Payload};
-use consensus::{Consensus, ConsensusAction, ConsensusConfig, ConsensusMsg};
+use abcast::{Action, Actions, Hooks, MsgId, Payload, SeqMachine, SeqMsg, SeqValue, Sequencer};
+use consensus::ConsensusMsg;
 use fdet::SuspectSet;
-use neko::{FdEvent, Pid};
-use rbcast::{RbAction, RbMsg, ReliableBcast};
+use neko::{FdEvent, Message, Pid};
+use rbcast::RbMsg;
 
 use crate::ring::{ring_members, ring_successor};
 
@@ -35,6 +35,25 @@ pub struct IdBatch {
     pub ids: Vec<MsgId>,
 }
 
+impl<P: Payload> SeqValue<P> for IdBatch {
+    fn propose(proposer: Pid, pending: &BTreeMap<MsgId, P>) -> Self {
+        // BTreeMap keys are already in id order, the paper's in-batch
+        // delivery tie-break.
+        IdBatch {
+            proposer,
+            ids: pending.keys().copied().collect(),
+        }
+    }
+
+    fn proposer(&self) -> Pid {
+        self.proposer
+    }
+
+    fn into_msgs(self) -> impl Iterator<Item = (MsgId, Option<P>)> {
+        self.ids.into_iter().map(|id| (id, None))
+    }
+}
+
 /// Wire messages of the ring algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RingMsg<P> {
@@ -47,9 +66,7 @@ pub enum RingMsg<P> {
         /// The embedded consensus message.
         inner: ConsensusMsg<IdBatch>,
     },
-    /// Channel repair: "my oldest undecided instance is `k` and it
-    /// has made no progress — resend what I may have lost" (identical
-    /// to the FD algorithm's nudge).
+    /// The sequencer's stall-probe nudge (see [`SeqMsg::Nudge`]).
     Nudge {
         /// The sender's current instance.
         k: u64,
@@ -75,296 +92,210 @@ pub enum RingMsg<P> {
     },
 }
 
-/// Outputs of the ring state machine, in execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RingAction<P> {
-    /// Send to one process.
-    Send(Pid, RingMsg<P>),
-    /// Send to all other processes.
-    Multicast(RingMsg<P>),
-    /// `A-deliver`.
-    Deliver {
-        /// The broadcast's identity.
-        id: MsgId,
-        /// Its payload.
-        payload: P,
-    },
+impl<P: Payload> Message for RingMsg<P> {
+    // Consensus aggregates whole id-batches per instance, and fetches
+    // are one-shot repairs; no wire-level coalescing.
 }
 
-/// Consensus messages buffered for an instance not yet started.
-type FutureMsgs = Vec<(Pid, ConsensusMsg<IdBatch>)>;
+impl<P> From<SeqMsg<IdBatch, P>> for RingMsg<P> {
+    fn from(m: SeqMsg<IdBatch, P>) -> Self {
+        match m {
+            SeqMsg::Data(m) => RingMsg::Data(m),
+            SeqMsg::Cons { k, inner } => RingMsg::Cons { k, inner },
+            SeqMsg::Nudge { k } => RingMsg::Nudge { k },
+        }
+    }
+}
 
-/// Observable progress of the oldest undecided instance, compared
-/// across stall probes: `(instance, consensus diagnostic snapshot)`.
-type ProgressSig = (u64, Option<(u32, &'static str, usize, usize)>);
+/// Outputs of the ring state machine, in execution order.
+pub type RingAction<P> = Action<RingMsg<P>, P>;
 
-/// Per-process endpoint of the ring atomic broadcast algorithm.
+/// Per-process endpoint of the ring atomic broadcast algorithm: the
+/// shared sequencer over [`IdBatch`]es plus the payload-repair state.
 ///
 /// Pure state machine; the [`crate::RingNode`] shell adapts it to
 /// [`neko::Process`].
 #[derive(Debug)]
 pub struct RingAbcast<P: Payload> {
-    me: Pid,
-    n: usize,
-    rb: ReliableBcast<(MsgId, P)>,
-    /// Received but not yet ordered payloads.
-    pending: BTreeMap<MsgId, P>,
-    delivered: BTreeSet<MsgId>,
-    delivered_log: Vec<MsgId>,
+    seq: Sequencer<IdBatch, P>,
+    repair: Repair<P>,
+}
+
+/// The ring's own state: what it takes to find a missing body.
+#[derive(Debug)]
+struct Repair<P> {
     /// Delivered bodies, retained to serve laggards' fetches. Bounded
-    /// by the run length, like the FD algorithm's decided-instance
-    /// map — the study's runs are seconds of simulated time.
+    /// by the run length, like the sequencer's decided-instance map —
+    /// the study's runs are seconds of simulated time.
     archive: BTreeMap<MsgId, P>,
-    /// Next instance to decide (all below are decided).
-    k: u64,
-    instances: BTreeMap<u64, Consensus<IdBatch>>,
-    decisions_ahead: BTreeMap<u64, IdBatch>,
-    future: BTreeMap<u64, FutureMsgs>,
-    coord_first: Pid,
-    suspects: SuspectSet,
     /// Ids with a fetch in flight (cleared each probe tick, so lost
     /// fetches are retried at probe cadence without flooding).
     fetching: BTreeSet<MsgId>,
     /// Rotates the fetch entry point across re-issues: origin first,
     /// then around the ring, then everyone else.
     fetch_cursor: usize,
-    /// Progress signature at the last stall probe.
-    last_probe: Option<ProgressSig>,
-    /// Consecutive probes with a frozen signature.
-    stalled_probes: u32,
-    /// Reused action buffers for the inner rbcast/consensus machines.
-    rb_scratch: Vec<RbAction<(MsgId, P)>>,
-    cons_scratch: Vec<ConsensusAction<IdBatch>>,
+}
+
+/// The sequencer's sink for one ring handler call: the action buffer
+/// plus the repair state its hooks update.
+struct Sink<'a, P> {
+    repair: &'a mut Repair<P>,
+    out: &'a mut Vec<RingAction<P>>,
+}
+
+impl<P: Payload> Hooks<IdBatch, P> for Sink<'_, P> {
+    fn push(&mut self, action: Action<SeqMsg<IdBatch, P>, P>) {
+        self.out.push(action.map_msg(RingMsg::from));
+    }
+
+    fn ready(&mut self, seq: &Sequencer<IdBatch, P>, decided: &IdBatch) -> bool {
+        let missing = missing_of(seq, decided);
+        if missing.is_empty() {
+            return true;
+        }
+        // The decision outran its payloads: block in-order delivery
+        // and start the ring repair.
+        self.repair.issue_fetch(seq, missing, self.out);
+        false
+    }
+
+    fn on_body(&mut self, id: MsgId) {
+        self.repair.fetching.remove(&id);
+    }
+
+    fn on_deliver(&mut self, id: MsgId, payload: &P) {
+        // Retain the body: a laggard applying this decision later
+        // fetches it from us.
+        self.repair.archive.insert(id, payload.clone());
+    }
+
+    fn on_suspect(&mut self, seq: &Sequencer<IdBatch, P>) {
+        // A fetch in flight may have been addressed to (or routed
+        // through) the suspect; re-issue on the rotated ring.
+        let missing = missing_payloads(seq);
+        if !missing.is_empty() {
+            self.repair.fetching.clear();
+            self.repair.issue_fetch(seq, missing, self.out);
+        }
+    }
+}
+
+/// The decided ids of `batch` whose payloads are not held locally.
+fn missing_of<P: Payload>(seq: &Sequencer<IdBatch, P>, batch: &IdBatch) -> Vec<MsgId> {
+    batch
+        .ids
+        .iter()
+        .copied()
+        .filter(|&id| !seq.holds(id))
+        .collect()
+}
+
+fn missing_payloads<P: Payload>(seq: &Sequencer<IdBatch, P>) -> Vec<MsgId> {
+    seq.blocked_decision()
+        .map(|b| missing_of(seq, b))
+        .unwrap_or_default()
 }
 
 impl<P: Payload> RingAbcast<P> {
-    /// Creates the endpoint for `me` in a system of `n` processes.
-    /// `suspects` is the failure detector's current output.
-    pub fn new(me: Pid, n: usize, suspects: &SuspectSet) -> Self {
-        RingAbcast {
-            me,
-            n,
-            rb: ReliableBcast::new(me),
-            pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
-            delivered_log: Vec::new(),
-            archive: BTreeMap::new(),
-            k: 1,
-            instances: BTreeMap::new(),
-            decisions_ahead: BTreeMap::new(),
-            future: BTreeMap::new(),
-            coord_first: Pid::new(0),
-            suspects: suspects.clone(),
-            fetching: BTreeSet::new(),
-            fetch_cursor: 0,
-            last_probe: None,
-            stalled_probes: 0,
-            rb_scratch: Vec::new(),
-            cons_scratch: Vec::new(),
-        }
-    }
-
-    /// The A-delivery order so far (ids).
-    pub fn delivered_log(&self) -> &[MsgId] {
-        &self.delivered_log
-    }
-
-    /// Number of messages received but not yet ordered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Current consensus instance number.
-    pub fn instance(&self) -> u64 {
-        self.k
+    /// The shared consensus sequence (delivery log, pending set,
+    /// current instance).
+    pub fn sequencer(&self) -> &Sequencer<IdBatch, P> {
+        &self.seq
     }
 
     /// Ids decided at the current instance whose payloads are still
     /// missing locally (the delivery loop is blocked on them).
     pub fn missing_payloads(&self) -> Vec<MsgId> {
-        self.decisions_ahead
-            .get(&self.k)
-            .map(|b| self.missing_of(b))
-            .unwrap_or_default()
+        missing_payloads(&self.seq)
+    }
+}
+
+impl<P: Payload> SeqMachine for RingAbcast<P> {
+    type Payload = P;
+    type Msg = RingMsg<P>;
+
+    fn new(me: Pid, n: usize, suspects: &SuspectSet) -> Self {
+        RingAbcast {
+            seq: Sequencer::new(me, n, suspects),
+            repair: Repair {
+                archive: BTreeMap::new(),
+                fetching: BTreeSet::new(),
+                fetch_cursor: 0,
+            },
+        }
     }
 
-    /// The current ring, as this process derives it.
-    pub fn ring(&self) -> Vec<Pid> {
-        ring_members(self.n, self.coord_first, &self.suspects)
+    fn broadcast(&mut self, payload: P, out: &mut Actions<Self>) -> MsgId {
+        let repair = &mut self.repair;
+        self.seq.broadcast(payload, &mut Sink { repair, out })
     }
 
-    /// `A-broadcast(payload)`; returns the new message's id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Vec<RingAction<P>>) -> MsgId {
-        let bid = self.rb.next_id();
-        let id = MsgId {
-            origin: bid.origin,
-            seq: bid.seq,
-        };
-        let mut rb_out = std::mem::take(&mut self.rb_scratch);
-        let assigned = self.rb.broadcast((id, payload), &mut rb_out);
-        debug_assert_eq!(assigned, bid);
-        self.map_rb(&mut rb_out, out);
-        self.rb_scratch = rb_out;
-        id
-    }
-
-    /// Handles a wire message.
-    pub fn on_message(&mut self, from: Pid, msg: RingMsg<P>, out: &mut Vec<RingAction<P>>) {
-        match msg {
-            RingMsg::Data(rbmsg) => {
-                let mut rb_out = std::mem::take(&mut self.rb_scratch);
-                self.rb.on_message(from, rbmsg, &self.suspects, &mut rb_out);
-                self.map_rb(&mut rb_out, out);
-                self.rb_scratch = rb_out;
-                // A data arrival may be the body a decided batch was
-                // blocked on.
-                self.apply_ready_decisions(out);
-            }
-            RingMsg::Cons { k, inner } => {
-                if k > self.k {
-                    // Instances run strictly in order locally; keep
-                    // early traffic for later.
-                    self.future.entry(k).or_default().push((from, inner));
-                    return;
-                }
-                if k == self.k {
-                    self.ensure_instance(out);
-                }
-                let Some(inst) = self.instances.get_mut(&k) else {
-                    return;
-                };
-                let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                inst.on_message(from, inner, &mut cons_out);
-                self.pump_cons(k, &mut cons_out, out);
-                self.cons_scratch = cons_out;
-            }
-            RingMsg::Nudge { k } => {
-                if k < self.k {
-                    // The sender is behind: serve it every decision it
-                    // is missing (it applies them in order, fetching
-                    // the payload bodies it lacks).
-                    for kk in k..self.k {
-                        if let Some(reply) =
-                            self.instances.get(&kk).and_then(Consensus::decision_reply)
-                        {
-                            out.push(RingAction::Send(
-                                from,
-                                RingMsg::Cons {
-                                    k: kk,
-                                    inner: reply,
-                                },
-                            ));
-                        }
-                    }
-                } else if k == self.k {
-                    // Same instance: re-emit our directed state — the
-                    // proposal (coordinator) or estimate/ack
-                    // (participant) the sender may have lost.
-                    if let Some(inst) = self.instances.get(&k) {
-                        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                        inst.resend_to(from, &mut cons_out);
-                        self.pump_cons(k, &mut cons_out, out);
-                        self.cons_scratch = cons_out;
-                    }
-                }
-                // k > self.k: the nudger is ahead; our own stall probe
-                // covers our side.
-            }
+    fn on_message(&mut self, from: Pid, msg: RingMsg<P>, out: &mut Actions<Self>) {
+        let msg = match msg {
+            RingMsg::Data(m) => SeqMsg::Data(m),
+            RingMsg::Cons { k, inner } => SeqMsg::Cons { k, inner },
+            RingMsg::Nudge { k } => SeqMsg::Nudge { k },
             RingMsg::Fetch {
                 requester,
                 ids,
                 ttl,
-            } => self.on_fetch(requester, ids, ttl, out),
+            } => return self.repair.on_fetch(&self.seq, requester, ids, ttl, out),
             RingMsg::Fwd { msgs } => {
                 for (id, p) in msgs {
-                    self.fetching.remove(&id);
-                    if !self.delivered.contains(&id) {
-                        self.pending.entry(id).or_insert(p);
-                    }
+                    self.repair.fetching.remove(&id);
+                    self.seq.receive(id, p);
                 }
-                self.apply_ready_decisions(out);
-                self.ensure_instance(out);
+                let repair = &mut self.repair;
+                let sink = &mut Sink { repair, out };
+                self.seq.apply_ready_decisions(sink);
+                self.seq.ensure_instance(sink);
+                return;
             }
-        }
-    }
-
-    /// Periodic repair probe. Call at a coarse interval (the
-    /// [`crate::RingNode`] shell uses a timer). Two jobs: the FD
-    /// algorithm's consensus nudge when the oldest undecided instance
-    /// froze across two probes, and the ring's payload re-fetch when
-    /// a decided batch is still blocked on missing bodies — lost
-    /// fetches or forwards are retried with a rotated entry point.
-    /// Quiet in loss-free runs, so steady-state behaviour (and the
-    /// FD-identical message pattern) is untouched.
-    pub fn stall_probe(&mut self, out: &mut Vec<RingAction<P>>) {
-        // Payload repair is not subject to the two-probe hysteresis: a
-        // decided-but-missing-payload state is never "slow consensus",
-        // it is a lost message by construction.
-        let missing = self.missing_payloads();
-        if !missing.is_empty() {
-            self.fetching.clear();
-            self.fetch_cursor += 1;
-            self.issue_fetch(missing, out);
-        }
-        let sig = (
-            self.k,
-            self.instances.get(&self.k).map(Consensus::debug_state),
-        );
-        if self.last_probe.as_ref() == Some(&sig) {
-            self.stalled_probes += 1;
-        } else {
-            self.stalled_probes = 0;
-        }
-        self.last_probe = Some(sig);
-        // Two consecutive frozen probes (≥ 2 intervals of zero
-        // progress) separate real message loss from an instance
-        // merely queued behind a deep backlog near saturation.
-        if self.stalled_probes < 2 {
-            return;
-        }
-        let undecided = self
-            .instances
-            .get(&self.k)
-            .is_some_and(|c| !c.has_decided());
-        if undecided {
-            out.push(RingAction::Multicast(RingMsg::Nudge { k: self.k }));
-        }
+        };
+        let repair = &mut self.repair;
+        self.seq.on_message(from, msg, &mut Sink { repair, out });
     }
 
     /// Handles a failure-detector edge. Suspicion reconfigures the
     /// ring implicitly — membership is a pure function of the suspect
     /// set — and re-targets any blocked fetch aimed at the suspect.
-    pub fn on_fd(&mut self, ev: FdEvent, out: &mut Vec<RingAction<P>>) {
-        self.suspects.apply(ev);
-        if let FdEvent::Suspect(p) = ev {
-            // Lazy relay of undecided payloads from the suspect.
-            let mut rb_out = std::mem::take(&mut self.rb_scratch);
-            self.rb.on_suspect(p, &mut rb_out);
-            self.map_rb(&mut rb_out, out);
-            self.rb_scratch = rb_out;
-            // A fetch in flight may have been addressed to (or routed
-            // through) the suspect; re-issue on the rotated ring.
-            let missing = self.missing_payloads();
-            if !missing.is_empty() {
-                self.fetching.clear();
-                self.issue_fetch(missing, out);
-            }
-        }
-        // Only the in-flight instance reacts to suspicions; decided
-        // instances serve laggards by replying with the decision.
-        let k = self.k;
-        if let Some(inst) = self.instances.get_mut(&k) {
-            let mut cons_out = std::mem::take(&mut self.cons_scratch);
-            inst.on_fd(ev, &mut cons_out);
-            self.pump_cons(k, &mut cons_out, out);
-            self.cons_scratch = cons_out;
-        }
+    fn on_fd(&mut self, ev: FdEvent, out: &mut Actions<Self>) {
+        let repair = &mut self.repair;
+        self.seq.on_fd(ev, &mut Sink { repair, out });
     }
 
+    /// The sequencer's consensus nudge, preceded by the ring's payload
+    /// re-fetch when a decided batch is still blocked on missing
+    /// bodies — lost fetches or forwards are retried with a rotated
+    /// entry point. Quiet in loss-free runs, so steady-state behaviour
+    /// (and the FD-identical message pattern) is untouched.
+    fn stall_probe(&mut self, out: &mut Actions<Self>) {
+        // Payload repair is not subject to the two-probe hysteresis: a
+        // decided-but-missing-payload state is never "slow consensus",
+        // it is a lost message by construction.
+        let missing = self.missing_payloads();
+        if !missing.is_empty() {
+            self.repair.fetching.clear();
+            self.repair.fetch_cursor += 1;
+            self.repair.issue_fetch(&self.seq, missing, out);
+        }
+        let repair = &mut self.repair;
+        self.seq.stall_probe(&mut Sink { repair, out });
+    }
+}
+
+impl<P: Payload> Repair<P> {
     /// Serves a fetch hop: answer the requester with every body held
     /// locally, forward the rest to the ring successor.
-    fn on_fetch(&mut self, requester: Pid, ids: Vec<MsgId>, ttl: u8, out: &mut Vec<RingAction<P>>) {
-        if requester == self.me {
+    fn on_fetch(
+        &self,
+        seq: &Sequencer<IdBatch, P>,
+        requester: Pid,
+        ids: Vec<MsgId>,
+        ttl: u8,
+        out: &mut Vec<RingAction<P>>,
+    ) {
+        if requester == seq.me() {
             // Our own fetch walked the whole ring unanswered; the
             // stall probe re-issues with a rotated entry point.
             return;
@@ -372,171 +303,27 @@ impl<P: Payload> RingAbcast<P> {
         let mut found = Vec::new();
         let mut rest = Vec::new();
         for id in ids {
-            if let Some(p) = self.pending.get(&id).or_else(|| self.archive.get(&id)) {
+            if let Some(p) = seq.body(id).or_else(|| self.archive.get(&id)) {
                 found.push((id, p.clone()));
             } else {
                 rest.push(id);
             }
         }
         if !found.is_empty() {
-            out.push(RingAction::Send(requester, RingMsg::Fwd { msgs: found }));
+            out.push(Action::Send(requester, RingMsg::Fwd { msgs: found }));
         }
         if !rest.is_empty() && ttl > 1 {
-            if let Some(succ) = ring_successor(self.me, self.n, self.coord_first, &self.suspects) {
-                if succ != requester {
-                    out.push(RingAction::Send(
-                        succ,
-                        RingMsg::Fetch {
-                            requester,
-                            ids: rest,
-                            ttl: ttl - 1,
-                        },
-                    ));
-                }
+            let succ = ring_successor(seq.me(), seq.n(), seq.coord_first(), seq.suspects());
+            if let Some(succ) = succ.filter(|&s| s != requester) {
+                out.push(Action::Send(
+                    succ,
+                    RingMsg::Fetch {
+                        requester,
+                        ids: rest,
+                        ttl: ttl - 1,
+                    },
+                ));
             }
-        }
-    }
-
-    fn map_rb(&mut self, rb_out: &mut Vec<RbAction<(MsgId, P)>>, out: &mut Vec<RingAction<P>>) {
-        for a in rb_out.drain(..) {
-            match a {
-                RbAction::Deliver {
-                    payload: (id, p), ..
-                } => {
-                    if !self.delivered.contains(&id) {
-                        self.fetching.remove(&id);
-                        self.pending.insert(id, p);
-                        self.ensure_instance(out);
-                    }
-                }
-                RbAction::Multicast(m) => out.push(RingAction::Multicast(RingMsg::Data(m))),
-                RbAction::Send(to, m) => out.push(RingAction::Send(to, RingMsg::Data(m))),
-            }
-        }
-    }
-
-    /// Creates (and proposes in) the current instance if there is a
-    /// reason to: pending messages, or incoming traffic for it.
-    fn ensure_instance(&mut self, out: &mut Vec<RingAction<P>>) {
-        if self.pending.is_empty() && !self.instances.contains_key(&self.k) {
-            return;
-        }
-        let k = self.k;
-        if !self.instances.contains_key(&k) {
-            let cfg = ConsensusConfig::ring_from(self.me, self.n, self.coord_first);
-            self.instances
-                .insert(k, Consensus::new(cfg, &self.suspects));
-        }
-        let inst = &self.instances[&k];
-        if inst.has_proposed() || inst.has_decided() {
-            return;
-        }
-        // The compact proposal: ids only (BTreeMap keys are already in
-        // id order, the paper's in-batch delivery tie-break).
-        let batch = IdBatch {
-            proposer: self.me,
-            ids: self.pending.keys().copied().collect(),
-        };
-        let mut cons_out = std::mem::take(&mut self.cons_scratch);
-        self.instances
-            .get_mut(&k)
-            .expect("inserted above")
-            .propose(batch, &mut cons_out);
-        self.pump_cons(k, &mut cons_out, out);
-        self.cons_scratch = cons_out;
-    }
-
-    fn pump_cons(
-        &mut self,
-        k: u64,
-        cons_out: &mut Vec<ConsensusAction<IdBatch>>,
-        out: &mut Vec<RingAction<P>>,
-    ) {
-        let mut decided = None;
-        for a in cons_out.drain(..) {
-            match a {
-                ConsensusAction::Send(p, m) => {
-                    out.push(RingAction::Send(p, RingMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Multicast(m) => {
-                    out.push(RingAction::Multicast(RingMsg::Cons { k, inner: m }));
-                }
-                ConsensusAction::Decided(b) => decided = Some(b),
-            }
-        }
-        if let Some(batch) = decided {
-            self.decisions_ahead.insert(k, batch);
-            self.apply_ready_decisions(out);
-        }
-    }
-
-    fn missing_of(&self, batch: &IdBatch) -> Vec<MsgId> {
-        batch
-            .ids
-            .iter()
-            .filter(|id| !self.delivered.contains(id) && !self.pending.contains_key(id))
-            .copied()
-            .collect()
-    }
-
-    fn apply_ready_decisions(&mut self, out: &mut Vec<RingAction<P>>) {
-        loop {
-            let Some(next) = self.decisions_ahead.get(&self.k) else {
-                return;
-            };
-            let missing = self.missing_of(next);
-            if !missing.is_empty() {
-                // The decision outran its payloads: block in-order
-                // delivery and start the ring repair.
-                self.issue_fetch(missing, out);
-                return;
-            }
-            let batch = self
-                .decisions_ahead
-                .remove(&self.k)
-                .expect("present: just inspected");
-            for id in batch.ids {
-                if self.delivered.insert(id) {
-                    let p = self
-                        .pending
-                        .remove(&id)
-                        .expect("blocked above unless pending");
-                    self.delivered_log.push(id);
-                    self.rb.forget(rbcast::BcastId {
-                        origin: id.origin,
-                        seq: id.seq,
-                    });
-                    // Retain the body: a laggard applying this
-                    // decision later fetches it from us.
-                    self.archive.insert(id, p.clone());
-                    out.push(RingAction::Deliver { id, payload: p });
-                }
-            }
-            self.coord_first = batch.proposer;
-            self.k += 1;
-            // Drain consensus traffic that arrived early for the new
-            // instance. The instance number is pinned *outside* the
-            // loop: processing one buffered message can decide this
-            // instance and advance `self.k` (decisions already queued
-            // in `decisions_ahead` chain-apply), and feeding the
-            // remaining buffered messages into the *new* current
-            // instance would decide it with the old instance's value
-            // and silently diverge from the group (the FD algorithm's
-            // explorer-found bug; same structure here).
-            let drained_k = self.k;
-            if let Some(msgs) = self.future.remove(&drained_k) {
-                self.ensure_instance(out);
-                for (from, inner) in msgs {
-                    let Some(inst) = self.instances.get_mut(&drained_k) else {
-                        continue;
-                    };
-                    let mut cons_out = std::mem::take(&mut self.cons_scratch);
-                    inst.on_message(from, inner, &mut cons_out);
-                    self.pump_cons(drained_k, &mut cons_out, out);
-                    self.cons_scratch = cons_out;
-                }
-            }
-            self.ensure_instance(out);
         }
     }
 
@@ -545,32 +332,38 @@ impl<P: Payload> RingAbcast<P> {
     /// first (it certainly held the body), then around the ring from
     /// our successor, then any remaining process — so a repeatedly
     /// re-issued fetch eventually tries every live holder.
-    fn issue_fetch(&mut self, missing: Vec<MsgId>, out: &mut Vec<RingAction<P>>) {
-        let members = ring_members(self.n, self.coord_first, &self.suspects);
+    fn issue_fetch(
+        &mut self,
+        seq: &Sequencer<IdBatch, P>,
+        missing: Vec<MsgId>,
+        out: &mut Vec<RingAction<P>>,
+    ) {
+        let (me, n) = (seq.me(), seq.n());
+        let members = ring_members(n, seq.coord_first(), seq.suspects());
         let mut pool: Vec<Pid> = Vec::new();
-        if let Some(i) = members.iter().position(|&p| p == self.me) {
+        if let Some(i) = members.iter().position(|&p| p == me) {
             for j in 1..members.len() {
                 pool.push(members[(i + j) % members.len()]);
             }
         } else {
             pool.extend(members.iter().copied());
         }
-        for p in Pid::all(self.n) {
-            if p != self.me && !pool.contains(&p) {
+        for p in Pid::all(n) {
+            if p != me && !pool.contains(&p) {
                 pool.push(p);
             }
         }
         if pool.is_empty() {
             return;
         }
-        let ttl = self.n.min(u8::MAX as usize) as u8;
+        let ttl = n.min(u8::MAX as usize) as u8;
         let mut by_target: BTreeMap<Pid, Vec<MsgId>> = BTreeMap::new();
         for id in missing {
             if !self.fetching.insert(id) {
                 continue; // already in flight
             }
             let mut candidates: Vec<Pid> = Vec::new();
-            if id.origin != self.me && !self.suspects.is_suspected(id.origin) {
+            if id.origin != me && !seq.suspects().is_suspected(id.origin) {
                 candidates.push(id.origin);
             }
             for &p in &pool {
@@ -582,10 +375,10 @@ impl<P: Payload> RingAbcast<P> {
             by_target.entry(target).or_default().push(id);
         }
         for (target, ids) in by_target {
-            out.push(RingAction::Send(
+            out.push(Action::Send(
                 target,
                 RingMsg::Fetch {
-                    requester: self.me,
+                    requester: me,
                     ids,
                     ttl,
                 },
@@ -702,9 +495,15 @@ mod tests {
             all.extend(more[i].iter().cloned());
             assert_eq!(all.len(), 3, "at p{}", i + 1);
         }
-        assert_eq!(ns[0].delivered_log(), ns[1].delivered_log());
-        assert_eq!(ns[1].delivered_log(), ns[2].delivered_log());
-        assert_eq!(ns[0].pending(), 0);
+        assert_eq!(
+            ns[0].sequencer().delivered_log(),
+            ns[1].sequencer().delivered_log()
+        );
+        assert_eq!(
+            ns[1].sequencer().delivered_log(),
+            ns[2].sequencer().delivered_log()
+        );
+        assert_eq!(ns[0].sequencer().pending(), 0);
     }
 
     #[test]
@@ -721,11 +520,11 @@ mod tests {
             .expect("data multicast");
         let mut out1 = Vec::new();
         ns[1].on_message(Pid::new(0), data.clone(), &mut out1);
-        assert_eq!(ns[1].pending(), 1);
+        assert_eq!(ns[1].sequencer().pending(), 1);
         let mut out2 = Vec::new();
         ns[1].on_message(Pid::new(0), data, &mut out2);
         assert!(out2.is_empty(), "duplicate ignored: {out2:?}");
-        assert_eq!(ns[1].pending(), 1);
+        assert_eq!(ns[1].sequencer().pending(), 1);
     }
 
     /// The ring's raison d'être: a decision whose payload never
@@ -752,7 +551,7 @@ mod tests {
                 capture(to, out, &mut queue, &mut to_p3, &mut delivered);
             }
         }
-        assert_eq!(ns[0].delivered_log().len(), 2);
+        assert_eq!(ns[0].sequencer().delivered_log().len(), 2);
 
         // The cut heals selectively: p3 receives the *second*
         // broadcast's body and both decisions, but the first
@@ -798,8 +597,8 @@ mod tests {
         route(2, out, 3, &mut queue, &mut delivered);
         drive(&mut ns, queue);
         assert_eq!(
-            ns[2].delivered_log(),
-            ns[0].delivered_log(),
+            ns[2].sequencer().delivered_log(),
+            ns[0].sequencer().delivered_log(),
             "fetched payloads deliver in the agreed order"
         );
         assert!(ns[2].missing_payloads().is_empty());
@@ -929,9 +728,9 @@ mod tests {
         ns[2].broadcast(30, &mut out);
         let mut out = Vec::new();
         ns[2].on_message(Pid::new(decision.0), decision.1, &mut out);
-        let body = ns[0].archive[&ns[0].delivered_log()[0]];
+        let body = ns[0].repair.archive[&ns[0].sequencer().delivered_log()[0]];
         let fwd = RingMsg::Fwd {
-            msgs: vec![(ns[0].delivered_log()[0], body)],
+            msgs: vec![(ns[0].sequencer().delivered_log()[0], body)],
         };
         let mut out1 = Vec::new();
         ns[2].on_message(Pid::new(0), fwd.clone(), &mut out1);
@@ -944,7 +743,7 @@ mod tests {
         let mut out2 = Vec::new();
         ns[2].on_message(Pid::new(1), fwd, &mut out2);
         assert_eq!(deliveries(&out2), 0, "second copy is a no-op: {out2:?}");
-        assert_eq!(ns[2].delivered_log().len(), 1);
+        assert_eq!(ns[2].sequencer().delivered_log().len(), 1);
     }
 
     #[test]
@@ -969,5 +768,26 @@ mod tests {
                 .any(|a| matches!(a, RingAction::Multicast(RingMsg::Data(_)))),
             "pending payload from the suspect is relayed: {out_fd:?}"
         );
+    }
+
+    #[test]
+    fn ring_messages_never_merge() {
+        let mk = || {
+            RingMsg::Data(RbMsg::Data {
+                id: rbcast::BcastId {
+                    origin: Pid::new(0),
+                    seq: 0,
+                },
+                payload: (
+                    MsgId {
+                        origin: Pid::new(0),
+                        seq: 0,
+                    },
+                    7u32,
+                ),
+            })
+        };
+        let mut a = mk();
+        assert!(!Message::try_merge(&mut a, &mk()));
     }
 }

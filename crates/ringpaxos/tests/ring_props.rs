@@ -13,6 +13,7 @@
 //!    message is adversarially duplicated on the wire.
 
 use abcast::MsgId;
+use abcast::SeqMachine;
 use fdet::SuspectSet;
 use neko::{FdEvent, Pid};
 use proptest::prelude::*;
