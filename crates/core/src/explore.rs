@@ -156,6 +156,13 @@ pub struct Exploration {
     pub repro: Option<Repro>,
 }
 
+/// The topologies the small-group corpus draws from.
+const TOPOLOGIES: [NetworkModel; 2] = [NetworkModel::SharedMedium, NetworkModel::Switched];
+
+/// How many alternative schedule seeds the shrinker re-searches when a
+/// mutation loses the failure.
+const RESEED_BUDGET: u64 = 6;
+
 /// The fuzzing driver: generates [`Tuple`]s deterministically from a
 /// master seed, runs them on the sweep worker pool, and shrinks the
 /// first failure.
@@ -164,7 +171,6 @@ pub struct Explorer {
     seed: u64,
     budget: usize,
     algorithms: Vec<Algorithm>,
-    topologies: Vec<NetworkModel>,
     group_sizes: (usize, usize),
     /// Size of the occasional large-group tuple (every 16th index),
     /// exercising the multi-word destination masks; `None` disables
@@ -173,7 +179,6 @@ pub struct Explorer {
     throughput: f64,
     horizon: Dur,
     drain: Dur,
-    reseed_budget: usize,
     workers: Option<usize>,
 }
 
@@ -189,13 +194,11 @@ impl Explorer {
             seed,
             budget: 1000,
             algorithms: Algorithm::STUDY.to_vec(),
-            topologies: vec![NetworkModel::SharedMedium, NetworkModel::Switched],
             group_sizes: (3, 5),
             large_group: Some(64),
             throughput: 80.0,
             horizon: Dur::from_millis(1_200),
             drain: Dur::from_millis(2_500),
-            reseed_budget: 6,
             workers: None,
         }
     }
@@ -210,13 +213,6 @@ impl Explorer {
     pub fn with_algorithms(mut self, algorithms: &[Algorithm]) -> Self {
         assert!(!algorithms.is_empty(), "need at least one algorithm");
         self.algorithms = algorithms.to_vec();
-        self
-    }
-
-    /// Restricts the topologies drawn from.
-    pub fn with_topologies(mut self, topologies: &[NetworkModel]) -> Self {
-        assert!(!topologies.is_empty(), "need at least one topology");
-        self.topologies = topologies.to_vec();
         self
     }
 
@@ -249,13 +245,6 @@ impl Explorer {
         self
     }
 
-    /// Sets how many alternative schedule seeds the shrinker
-    /// re-searches when a mutation loses the failure.
-    pub fn with_reseed_budget(mut self, budget: usize) -> Self {
-        self.reseed_budget = budget;
-        self
-    }
-
     /// Overrides the worker-thread count (default: the sweep pool's,
     /// i.e. one per core or `STUDY_SWEEP_THREADS`).
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -271,13 +260,13 @@ impl Explorer {
         let mut rng = stream_rng(tseed, 0xEC5E);
         if let Some(large_n) = self.large_group {
             if index % 16 == 11 {
-                return self.large_tuple(alg, index, large_n, tseed, &mut rng);
+                return self.large_tuple(alg, large_n, tseed, &mut rng);
             }
         }
         let (lo, hi) = self.group_sizes;
         let n = lo + (rng.next_u64() as usize) % (hi - lo + 1);
         let minority = (n - 1) / 2;
-        let topology = self.topologies[(rng.next_u64() as usize) % self.topologies.len()];
+        let topology = TOPOLOGIES[(rng.next_u64() as usize) % TOPOLOGIES.len()];
         // One FIFO baseline in every eight tuples; the rest split
         // between uniform tie permutation and PCT-style demotion.
         let schedule = match index % 8 {
@@ -365,14 +354,7 @@ impl Explorer {
     /// and at most one crash — the class exists to push traffic
     /// through the multi-word destination masks under adversarial
     /// schedules, not to churn 64-member views.
-    fn large_tuple(
-        &self,
-        alg: Algorithm,
-        _index: usize,
-        n: usize,
-        tseed: u64,
-        rng: &mut impl RngCore,
-    ) -> Tuple {
+    fn large_tuple(&self, alg: Algorithm, n: usize, tseed: u64, rng: &mut impl RngCore) -> Tuple {
         // Drawn from the tuple's own stream rather than `index % 8`:
         // large indices share a residue class mod 8, which would pin
         // the whole class to one policy.
@@ -510,10 +492,7 @@ impl Explorer {
         let reseed = derive_seed(base.seed, 0x5EED);
         let schedules = std::iter::once(base.schedule)
             .chain(std::iter::once(Schedule::Fifo))
-            .chain(
-                (0..self.reseed_budget as u64)
-                    .map(|j| Schedule::SeededRandom(derive_seed(reseed, j))),
-            );
+            .chain((0..RESEED_BUDGET).map(|j| Schedule::SeededRandom(derive_seed(reseed, j))));
         for schedule in schedules {
             candidate.schedule = schedule;
             if let Verdict::Fail(v) = run_tuple(&candidate) {
@@ -645,14 +624,11 @@ fn drive<P>(
 where
     P: Process<Cmd = u64, Out = AbcastEvent<u64>>,
 {
-    // Recycle the previous tuple's kernel allocations parked on this
-    // worker thread; the verdict stays a pure function of the tuple
-    // (see `crate::scratch`).
     let mut sim = SimBuilder::new(t.n)
         .seed(t.seed)
         .network(NetParams::default().with_model(t.topology))
         .schedule(t.schedule)
-        .build_with_scratch(factory, crate::scratch::take::<P>());
+        .build_with(factory);
     for (at, act) in compiled.entries() {
         match act {
             ScriptAction::Inject(inj) => sim.schedule_injection(*at, inj.clone()),
@@ -665,7 +641,6 @@ where
     sim.run_until(end);
     let collapsed = wedged(&sim);
     let logs = oracle::delivery_logs(t.n, sim.take_outputs());
-    crate::scratch::put::<P>(sim.into_scratch());
     (logs, collapsed)
 }
 
@@ -886,10 +861,15 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let a = quick_explorer(9).explore();
-        let b = quick_explorer(9).explore();
-        assert_eq!(a.examined, b.examined);
-        assert_eq!(a.repro.is_none(), b.repro.is_none());
+        let base = quick_explorer(9).with_workers(1).explore();
+        for workers in [1, 2, 8] {
+            let e = quick_explorer(9).with_workers(workers).explore();
+            assert_eq!(
+                (e.examined, format!("{:?}", e.repro)),
+                (base.examined, format!("{:?}", base.repro)),
+                "exploration outcome changed at {workers} workers"
+            );
+        }
     }
 
     #[test]

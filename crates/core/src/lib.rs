@@ -53,7 +53,6 @@ pub mod oracle;
 pub mod paper;
 mod runner;
 mod saturate;
-mod scratch;
 mod script;
 mod stats;
 mod workload;
@@ -63,7 +62,6 @@ pub use runner::{
     RunParams, SingleRun, SweepPoint, DEFAULT_LATENCY_SAMPLE_CAP,
 };
 pub use saturate::{find_saturation, SaturationResult, SaturationSearch};
-pub use scratch::set_run_scratch;
 pub use script::{CompiledScript, FaultEvent, FaultScript, ScriptAction, ScriptTime};
 pub use stats::{Reservoir, Running, Summary};
 pub use workload::{poisson_arrivals, Arrival};

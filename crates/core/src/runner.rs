@@ -24,7 +24,7 @@ use std::time::Duration;
 use abcast::{AbcastEvent, BatchConfig, Batched, FdNode, GmNode, Uniformity};
 use neko::{
     derive_seed, Dur, Injection, NetParams, NetStats, NetworkModel, Pid, Process, RealConfig,
-    RealRuntime, Runtime, Schedule, Sim, SimBuilder, Time,
+    RealRuntime, Runtime, Sim, SimBuilder, Time,
 };
 use ringpaxos::RingNode;
 
@@ -97,7 +97,6 @@ pub struct RunParams {
     hb_timeout: Dur,
     latency_cap: usize,
     batching: Option<BatchConfig>,
-    schedule: Schedule,
 }
 
 impl RunParams {
@@ -120,7 +119,6 @@ impl RunParams {
             hb_timeout: Dur::from_millis(60),
             latency_cap: DEFAULT_LATENCY_SAMPLE_CAP,
             batching: None,
-            schedule: Schedule::Fifo,
         }
     }
 
@@ -158,14 +156,6 @@ impl RunParams {
     /// the pre-batching code path bit-identically.
     pub fn with_batching(mut self, cfg: BatchConfig) -> Self {
         self.batching = Some(cfg);
-        self
-    }
-
-    /// Disables batching (the default; useful to undo
-    /// [`with_batching`](Self::with_batching) on a cloned parameter
-    /// set in on/off sweeps).
-    pub fn without_batching(mut self) -> Self {
-        self.batching = None;
         self
     }
 
@@ -270,28 +260,6 @@ impl RunParams {
         assert!(cap > 0, "a reservoir must hold at least one sample");
         self.latency_cap = cap;
         self
-    }
-
-    /// The configured latency-sample bound.
-    pub fn latency_sample_cap(&self) -> usize {
-        self.latency_cap
-    }
-
-    /// Selects the simulator's same-time tie-break policy (default:
-    /// [`Schedule::Fifo`], bit-identical to runs predating the knob).
-    /// Non-default policies deterministically permute the
-    /// interleavings a run explores — see [`neko::Schedule`] and the
-    /// schedule explorer ([`crate::explore`]). Ignored by
-    /// [`Backend::Real`], whose interleavings come from the OS
-    /// scheduler.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// The configured tie-break policy.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
     }
 }
 
@@ -545,18 +513,11 @@ where
     let n = params.n;
     match params.backend {
         Backend::Sim => {
-            // Recycle the previous run's kernel allocations (timing
-            // wheel, CPU queues, topology tables) parked on this
-            // worker thread; results are unaffected (see
-            // `crate::scratch`).
             let mut rt: Sim<P> = SimBuilder::new(n)
                 .seed(seed)
                 .network(params.net)
-                .schedule(params.schedule)
-                .build_with_scratch(factory, crate::scratch::take::<P>());
-            let run = drive(&mut rt, compiled, params, seed, end);
-            crate::scratch::put::<P>(rt.into_scratch());
-            run
+                .build_with(factory);
+            drive(&mut rt, compiled, params, seed, end)
         }
         Backend::Real => {
             let config = RealConfig::new()
@@ -1166,7 +1127,6 @@ mod tests {
         let cfg = BatchConfig::new(4, Dur::from_millis(1));
         let p = p.with_batching(cfg);
         assert_eq!(p.batching(), Some(cfg));
-        assert_eq!(p.without_batching().batching(), None);
     }
 
     #[test]
@@ -1238,22 +1198,6 @@ mod tests {
         assert!(run.measured > 0);
         assert!(run.net.wire_messages > 0);
         assert!(run.net.cpu_busy > Dur::ZERO);
-    }
-
-    #[test]
-    fn schedule_knob_round_trips_and_permuted_runs_are_deterministic() {
-        use neko::Schedule;
-        let p = quick(3, 80.0);
-        assert_eq!(p.schedule(), Schedule::Fifo);
-        let p = p.with_schedule(Schedule::SeededRandom(5));
-        assert_eq!(p.schedule(), Schedule::SeededRandom(5));
-        let a = run_replicated(Algorithm::Fd, &FaultScript::normal_steady(), &p, 7);
-        let b = run_replicated(Algorithm::Fd, &FaultScript::normal_steady(), &p, 7);
-        assert_eq!(
-            a.mean_latency_ms().map(f64::to_bits),
-            b.mean_latency_ms().map(f64::to_bits),
-            "a permuted schedule is still a pure function of its seed"
-        );
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Summary {
         self.var
     }
 
-    /// The sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.var.sqrt()
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.n

@@ -84,12 +84,6 @@ impl NetParams {
         self.model
     }
 
-    /// Sets the network occupancy per message (the model's time unit).
-    pub fn with_net_delay(mut self, d: Dur) -> Self {
-        self.net_delay = d;
-        self
-    }
-
     /// Sets `λ`, the CPU cost of sending or receiving one message
     /// relative to the network time unit.
     ///

@@ -142,8 +142,8 @@ impl SimBuilder {
 /// tables, effect buffers and the output vector. Obtained from
 /// [`Sim::into_scratch`] and fed back into
 /// [`SimBuilder::build_with_scratch`], it lets a driver that runs many
-/// short simulations back-to-back (the adversarial explorer, batch
-/// sweeps) skip the per-run allocation storm without affecting results.
+/// short simulations back-to-back skip the per-run allocation storm
+/// without affecting results.
 pub struct SimScratch<M: Message, C, O> {
     kernel: Kernel<M, C, O>,
 }
@@ -226,20 +226,6 @@ impl<P: Process> Sim<P> {
         self.kernel.schedule(at, Ev::Fd { at: at_process, ev });
     }
 
-    /// Schedules a whole batch of failure-detector edges.
-    pub fn schedule_fd_plan(&mut self, plan: impl IntoIterator<Item = (Time, Pid, FdEvent)>) {
-        for (at, p, ev) in plan {
-            self.schedule_fd_event(at, p, ev);
-        }
-    }
-
-    /// Recovers `p` at time `at` (crash-recovery model: the process
-    /// resumes with its pre-crash state, as if from perfect stable
-    /// storage; messages addressed to it while down are lost).
-    pub fn schedule_recover(&mut self, at: Time, p: Pid) {
-        self.schedule_injection(at, Injection::Recover(p));
-    }
-
     /// Schedules one fault [`Injection`] at time `at`.
     ///
     /// # Panics
@@ -288,14 +274,6 @@ impl<P: Process> Sim<P> {
         }
         self.kernel.now = until;
         processed
-    }
-
-    /// Runs until the event queue drains or time `cap` is reached,
-    /// whichever comes first; returns the final simulated time. Useful
-    /// for letting in-flight work settle at the end of a measurement.
-    pub fn run_until_quiescent(&mut self, cap: Time) -> Time {
-        self.run_until(cap);
-        self.kernel.now
     }
 
     /// Drains the outputs emitted (via [`crate::Ctx::emit`]) since the

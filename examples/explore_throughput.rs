@@ -1,10 +1,9 @@
 //! Explorer throughput program: measures how many adversarial tuples
-//! per second `study::explore` examines at the default tuple mix, and
-//! how many heap allocations each tuple costs — with and without the
-//! thread-local run-context recycling (`STUDY_RUN_SCRATCH`).
+//! per second `study::explore` examines, on the small-group mix and
+//! on the default mix, and how many heap allocations each tuple costs.
 //!
 //! Doubles as the CI perf smoke: with `ATOMBENCH_MIN_TUPLES_PER_S`
-//! set, exits non-zero when reuse-on throughput falls below the floor.
+//! set, exits non-zero when small-mix throughput falls below the floor.
 //!
 //! ```sh
 //! cargo run --release --example explore_throughput
@@ -16,11 +15,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use figures::{Json, Report};
+use figures::Report;
 use study::explore::Explorer;
 
 /// Counts every allocator hit so the program can report allocations
-/// per tuple — the quantity the run-context recycling exists to cut.
+/// per tuple.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -55,8 +54,7 @@ fn env_u64(key: &str, default: u64) -> u64 {
 /// One measured pass over the budget; returns (tuples/s, allocs/tuple).
 /// `large` keeps or drops the n = 64 tuple class — dropping it gives
 /// the small-group mix comparable with pre-multi-word baselines.
-fn pass(seed: u64, budget: usize, reuse: bool, large: bool) -> (f64, f64) {
-    study::set_run_scratch(reuse);
+fn pass(seed: u64, budget: usize, large: bool) -> (f64, f64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     let outcome = Explorer::new(seed)
@@ -83,24 +81,21 @@ fn main() {
 
     // Warm-up pass (untimed): faults in the page cache, JIT-free but
     // branch predictors and allocator arenas settle.
-    let _ = pass(seed, (budget / 4).max(10), true, false);
+    let _ = pass(seed, (budget / 4).max(10), false);
 
-    let (cold_tps, cold_apt) = pass(seed, budget, false, false);
-    println!("  small mix, reuse off: {cold_tps:>8.0} tuples/s  {cold_apt:>8.0} allocs/tuple");
-    let (tps, apt) = pass(seed, budget, true, false);
-    println!("  small mix, reuse on:  {tps:>8.0} tuples/s  {apt:>8.0} allocs/tuple");
-    let (def_tps, def_apt) = pass(seed, budget, true, true);
+    let (tps, apt) = pass(seed, budget, false);
+    println!("  small mix:            {tps:>8.0} tuples/s  {apt:>8.0} allocs/tuple");
+    let (def_tps, def_apt) = pass(seed, budget, true);
     println!("  default mix (n ≤ 64): {def_tps:>8.0} tuples/s  {def_apt:>8.0} allocs/tuple");
 
-    // Record the three passes in BENCH_results.json so the explorer's
+    // Record the two passes in BENCH_results.json so the explorer's
     // throughput is tracked run-over-run like the figure benches.
     // Allocations per tuple ride in the second column — deterministic
     // where tuples/s is at the mercy of machine noise.
     let mut report = Report::new_custom("explorer_throughput", "budget_per_algorithm");
-    for (series, reuse, t, a) in [
-        ("small mix, reuse off", false, cold_tps, cold_apt),
-        ("small mix, reuse on", true, tps, apt),
-        ("default mix (n<=64), reuse on", true, def_tps, def_apt),
+    for (series, t, a) in [
+        ("small mix", tps, apt),
+        ("default mix (n<=64)", def_tps, def_apt),
     ] {
         report.custom_row(
             series,
@@ -108,7 +103,7 @@ fn main() {
             "tuples_per_s",
             "allocs_per_tuple",
             Some((t, a)),
-            &[("reuse", Json::Bool(reuse))],
+            &[],
         );
     }
     report.finish();

@@ -98,77 +98,6 @@ fn explorer_verdicts_are_reproducible_from_the_tuple_alone() {
     }
 }
 
-/// Run-context recycling (`study::set_run_scratch`) must be invisible
-/// in results: every verdict and every sweep statistic is a pure
-/// function of the tuple/point, whether the kernel was built fresh or
-/// recycled a previous run's allocations — at any worker count, where
-/// pool threads chain many runs through the same thread-local scratch.
-///
-/// One test owns the global toggle (concurrently toggling from
-/// several tests could interleave; harmless if the claim holds, but a
-/// violation should fail *here*, not flake elsewhere).
-#[test]
-fn run_context_recycling_is_invisible_in_results() {
-    let e = quick_explorer(0x5C);
-    // Tuple verdicts, serial: small corpus plus the n = 64 class.
-    for alg in Algorithm::STUDY {
-        for index in [0, 3, 11] {
-            let t = e.tuple(alg, index);
-            study::set_run_scratch(false);
-            let cold = run_tuple(&t);
-            study::set_run_scratch(true);
-            let warm = run_tuple(&t);
-            assert_eq!(cold, warm, "{alg:?}/{index} verdict changed under reuse");
-        }
-    }
-    // Whole explorations across worker counts.
-    for workers in [1usize, 2, 8] {
-        let e = e.clone().with_workers(workers);
-        study::set_run_scratch(false);
-        let cold = e.explore();
-        study::set_run_scratch(true);
-        let warm = e.explore();
-        assert_eq!(
-            (cold.examined, format!("{:?}", cold.repro)),
-            (warm.examined, format!("{:?}", warm.repro)),
-            "exploration outcome changed under reuse at {workers} workers"
-        );
-    }
-    // Sweep statistics, bit for bit (latency floats included).
-    let params = RunParams::new(3, 90.0)
-        .with_warmup(Dur::from_millis(200))
-        .with_measure(Dur::from_secs(1))
-        .with_drain(Dur::from_millis(800))
-        .with_replications(2);
-    let points = vec![
-        SweepPoint::new(
-            Algorithm::Fd,
-            FaultScript::normal_steady(),
-            params.clone(),
-            17,
-        ),
-        SweepPoint::new(
-            Algorithm::Gm,
-            FaultScript::normal_steady(),
-            params.clone(),
-            18,
-        ),
-        SweepPoint::new(Algorithm::Ring, FaultScript::normal_steady(), params, 19),
-    ];
-    for workers in [1usize, 2, 8] {
-        study::set_run_scratch(false);
-        let cold = run_sweep_with_workers(&points, workers);
-        study::set_run_scratch(true);
-        let warm = run_sweep_with_workers(&points, workers);
-        assert_eq!(
-            fingerprint(&cold),
-            fingerprint(&warm),
-            "sweep stats changed under reuse at {workers} workers"
-        );
-    }
-    study::set_run_scratch(true);
-}
-
 /// Pinned repro of a liveness failure in the default exploration
 /// (tuple 107 of `Explorer::new(derive_seed(3, 0))`'s FD corpus,
 /// about one tuple in 3 000): FD with n = 64 on the switched fabric,
